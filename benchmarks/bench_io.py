@@ -6,7 +6,8 @@ trajectory is tracked across PRs instead of living only in pytest stdout.
 CI uploads the files as workflow artifacts; ``benchmarks/baselines/`` holds
 the recorded reference numbers the regression gates compare against.
 
-The output directory defaults to the current working directory and can be
+The output directory defaults to ``bench-results/`` at the repository root
+(git-ignored, so a test run never rewrites tracked files) and can be
 redirected with ``REPRO_BENCH_RESULTS_DIR``.
 """
 
@@ -21,8 +22,13 @@ from typing import Any
 __all__ = ["record_bench_result", "load_baseline"]
 
 
+#: Default output directory: ``<repo>/bench-results``.
+DEFAULT_RESULTS_DIR = Path(__file__).resolve().parent.parent / "bench-results"
+
+
 def _results_dir() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_RESULTS_DIR", "."))
+    override = os.environ.get("REPRO_BENCH_RESULTS_DIR")
+    return Path(override) if override else DEFAULT_RESULTS_DIR
 
 
 def record_bench_result(suite: str, test_name: str, **payload: Any) -> Path:

@@ -37,6 +37,7 @@ class Host:
         "name",
         "_egress",
         "_egress_batch",
+        "_egress_fanout",
         "_flow_handlers",
         "_flow_batch_handlers",
         "_default_handler",
@@ -53,6 +54,7 @@ class Host:
         self.name = name
         self._egress: Optional[Callable[[Packet], None]] = None
         self._egress_batch: Optional[Callable[[Sequence[Packet]], None]] = None
+        self._egress_fanout: Optional[Callable[[dict[str, list]], None]] = None
         self._flow_handlers: dict[str, Callable[[Packet], None]] = {}
         self._flow_batch_handlers: dict[str, Callable[[Sequence[Packet]], None]] = {}
         self._default_handler: Optional[Callable[[Packet], None]] = None
@@ -71,15 +73,20 @@ class Host:
         self,
         egress: Callable[[Packet], None],
         batch: Optional[Callable[[Sequence[Packet]], None]] = None,
+        fanout: Optional[Callable[[dict[str, list]], None]] = None,
     ) -> None:
         """Attach the first-hop send function (done by the topology builder).
 
         ``batch``, when provided, accepts a whole packet train in one call
         (``Link.send_batch`` / ``DelayPipe.send_batch``); without it,
-        :meth:`send_batch` falls back to per-packet egress.
+        :meth:`send_batch` falls back to per-packet egress.  ``fanout``
+        (``SourceRoutedEgress.send_fanout``) accepts the per-destination
+        trains of :meth:`send_forwarded_trains` in one call; without it each
+        train goes through :meth:`send_forwarded_batch`.
         """
         self._egress = egress
         self._egress_batch = batch
+        self._egress_fanout = fanout
 
     def register_flow(
         self,
@@ -87,7 +94,13 @@ class Host:
         handler: Callable[[Packet], None],
         batch_handler: Optional[Callable[[Sequence[Packet]], None]] = None,
     ) -> None:
-        """Register the receive handler for a flow terminating at this host."""
+        """Register the receive handler for a flow terminating at this host.
+
+        Contract: ``batch_handler`` given a one-packet train must behave
+        exactly like ``handler`` given that packet (same state, same sends,
+        same RNG draws).  :meth:`receive_batch` relies on it and hands
+        one-packet trains to ``handler``.
+        """
         if flow_id in self._flow_handlers:
             raise ValueError(f"flow {flow_id!r} already registered on {self.name}")
         self._flow_handlers[flow_id] = handler
@@ -104,7 +117,12 @@ class Host:
         handler: Callable[[Packet], None],
         batch_handler: Optional[Callable[[Sequence[Packet]], None]] = None,
     ) -> None:
-        """Handler for packets whose flow has no dedicated handler."""
+        """Handler for packets whose flow has no dedicated handler.
+
+        The one-packet contract of :meth:`register_flow` applies:
+        ``batch_handler([packet])`` must behave exactly like
+        ``handler(packet)``.
+        """
         self._default_handler = handler
         self._default_batch_handler = batch_handler
 
@@ -189,6 +207,30 @@ class Host:
             for packet in packets:
                 egress(packet)
 
+    def send_forwarded_trains(self, trains: dict[str, list]) -> None:
+        """Send a media server's fan-out: one forwarded train per destination.
+
+        ``trains`` maps each destination to ``[size_total, packets]``, every
+        packet addressed to that destination (as for
+        :meth:`send_forwarded_batch`).  With a fan-out egress and no taps the
+        whole set enters the egress in one call; otherwise each train goes
+        through :meth:`send_forwarded_batch` in order.  Either way counters,
+        event scheduling and deliveries are the same.
+        """
+        fanout = self._egress_fanout
+        if fanout is None or self.taps:
+            for size_total, packets in trains.values():
+                self.send_forwarded_batch(packets, size_total)
+            return
+        size = 0
+        count = 0
+        for size_total, packets in trains.values():
+            size += size_total
+            count += len(packets)
+        self.bytes_sent += size
+        self.packets_sent += count
+        fanout(trains)
+
     def receive(self, packet: Packet) -> None:
         """Deliver a packet arriving from the network to its flow handler."""
         self.bytes_received += packet.size_bytes
@@ -211,11 +253,24 @@ class Host:
         """
         if not packets:
             return
+        if len(packets) == 1:
+            # One-packet train: straight to the per-packet handler (see the
+            # contract on :meth:`register_flow`), skipping the run split.
+            packet = packets[0]
+            self.bytes_received += packet.size_bytes
+            self.packets_received += 1
+            if self.taps:
+                for tap in self.taps:
+                    tap("rx", packet)
+            handler = self._flow_handlers.get(packet.flow_id, self._default_handler)
+            if handler is not None:
+                handler(packet)
+            return
         first = packets[0]
         flow_id = first.flow_id
         size_total = first.size_bytes
         uniform = True
-        for packet in packets[1:] if len(packets) > 1 else ():
+        for packet in packets[1:]:
             size_total += packet.size_bytes
             if packet.flow_id != flow_id:
                 uniform = False

@@ -193,6 +193,13 @@ class SourceRoutedEgress:
     the heap events and none of the per-hop dispatch.  Destinations that are
     not registered (e.g. behind a shaped link or another router) fall back to
     the original hop-by-hop path.
+
+    A media server's fan-out (:meth:`send_fanout`) puts every train bound for
+    a bus route into *one* transit record, pushed where the first such train
+    would have been pushed: the bus delivers a fan-out's trains
+    back-to-back in the same firing anyway, so the simulator's sequence
+    numbers, heap contents and per-destination delivery order are exactly
+    those of one :meth:`send_batch` per train.
     """
 
     __slots__ = ("bus", "_routes", "_routes_batch", "_fallback", "_fallback_batch")
@@ -244,16 +251,46 @@ class SourceRoutedEgress:
                 return
         receiver_batch = self._routes_batch.get(dst)
         if receiver_batch is None:
-            if self._fallback_batch is not None:
-                self._fallback_batch(packets)
-            else:
-                fallback = self._fallback
-                for packet in packets:
-                    fallback(packet)
+            self._send_fallback(packets)
             return
         if packets.__class__ is not list:
             packets = list(packets)
         self.bus.push(receiver_batch, packets)
+
+    def send_fanout(self, trains: dict[str, list]) -> None:
+        """Send one train per destination (``dst -> [size_total, packets]``).
+
+        Every packet of ``trains[dst]`` is addressed to ``dst``, as in a
+        media server's per-receiver copies.  Bus-routed trains share one
+        :class:`DelayBus` record; the others take the fallback path in their
+        original order (the fallback hop has a positive delay, so it never
+        re-enters this egress before the fan-out is done).
+        """
+        routes = self._routes_batch
+        records: Optional[list] = None
+        for dst, train in trains.items():
+            receiver_batch = routes.get(dst)
+            if receiver_batch is None:
+                self._send_fallback(train[1])
+            elif records is None:
+                records = [(receiver_batch, train[1])]
+                self.bus.push(_deliver_records, records)
+            else:
+                records.append((receiver_batch, train[1]))
+
+    def _send_fallback(self, packets) -> None:
+        if self._fallback_batch is not None:
+            self._fallback_batch(packets)
+        else:
+            fallback = self._fallback
+            for packet in packets:
+                fallback(packet)
+
+
+def _deliver_records(records: list) -> None:
+    """Deliver a fan-out transit record: ``(receiver_batch, train)`` pairs in order."""
+    for receiver_batch, packets in records:
+        receiver_batch(packets)
 
 
 class ForwardingEntry:

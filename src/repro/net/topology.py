@@ -267,7 +267,7 @@ def build_access_topology(
             egress.add_route(measured, home_router.receive, home_router.receive_batch)
             for local_name in local_client_names:
                 egress.add_route(local_name, home_router.receive, home_router.receive_batch)
-            server.set_egress(egress.send, batch=egress.send_batch)
+            server.set_egress(egress.send, batch=egress.send_batch, fanout=egress.send_fanout)
         else:
             server.set_egress(pipe.send, batch=pipe.send_batch)
         core.add_delay_route(

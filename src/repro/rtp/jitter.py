@@ -173,8 +173,30 @@ class StreamReceiver:
             w = self.config.delay_smoothing
             self._smoothed_owd = (1 - w) * self._smoothed_owd + w * owd
 
-        self._ingest_fragment(packet, now)
-        if self._pending and now - self._oldest_pending_arrival > self.config.frame_timeout_s:
+        # Frame reassembly.
+        pending = self._pending
+        meta = packet._meta
+        frame_id = meta.get("frame_id") if meta is not None else None
+        if frame_id is not None:
+            frame = pending.get(frame_id)
+            if frame is None:
+                frame = _PendingFrame(
+                    frame_id=frame_id,
+                    fragments_expected=int(meta.get("frag_count", 1)),
+                    keyframe=bool(meta.get("keyframe", False)),
+                    first_arrival=now,
+                )
+                pending[frame_id] = frame
+                if now < self._oldest_pending_arrival:
+                    self._oldest_pending_arrival = now
+            frame.fragments_received += 1
+            if frame.fragments_received >= frame.fragments_expected and not frame.completed:
+                frame.completed = True
+                self._on_frame_complete(packet, now)
+                del pending[frame_id]
+                if not pending:
+                    self._oldest_pending_arrival = float("inf")
+        if pending and now - self._oldest_pending_arrival > self.config.frame_timeout_s:
             self._expire_stale_frames(now)
 
     def on_packet_batch(self, packets) -> None:
@@ -255,30 +277,6 @@ class StreamReceiver:
         self._prev_highest_seq = prev_highest
         self._base_owd = base_owd
         self._smoothed_owd = smoothed
-
-    def _ingest_fragment(self, packet: Packet, now: float) -> None:
-        meta = packet._meta
-        frame_id = meta.get("frame_id") if meta is not None else None
-        if frame_id is None:
-            return
-        pending = self._pending.get(frame_id)
-        if pending is None:
-            pending = _PendingFrame(
-                frame_id=frame_id,
-                fragments_expected=int(meta.get("frag_count", 1)),
-                keyframe=bool(meta.get("keyframe", False)),
-                first_arrival=now,
-            )
-            self._pending[frame_id] = pending
-            if now < self._oldest_pending_arrival:
-                self._oldest_pending_arrival = now
-        pending.fragments_received += 1
-        if pending.fragments_received >= pending.fragments_expected and not pending.completed:
-            pending.completed = True
-            self._on_frame_complete(packet, now)
-            del self._pending[frame_id]
-            if not self._pending:
-                self._oldest_pending_arrival = float("inf")
 
     def _on_frame_complete(self, packet: Packet, now: float) -> None:
         self.total_frames += 1

@@ -25,13 +25,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.calibrate.constants import active_constants
+from repro.cc.base import FeedbackReport
 from repro.cc.gcc import GCCController
 from repro.media.codec import Resolution
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.simulator import PeriodicTask, Simulator
 from repro.rtp.jitter import LegacyStreamReceiver, StreamReceiver
-from repro.rtp.rtcp import extract_report, is_fir, make_fir_packet, make_report_packet
+from repro.rtp.rtcp import make_fir_packet, make_report_packet
 from repro.rtp.sip import SignalingMessage, SignalKind, extract_signal, send_signal
 from repro.vca.base import VCAProfile, downlink_flow, uplink_flow
 from repro.vca.sfu.cascade import CascadeControl, TrunkIngress
@@ -125,6 +126,9 @@ class SfuNode:
         #: Uplink flow id -> participant state, so the per-train dispatch
         #: skips the flow-id string parse (invalidated with the plans).
         self._state_by_flow: dict[str, ParticipantState] = {}
+        #: Downlink RTCP flow id -> ``(sender, receiver)``: the flow-id parse
+        #: of :meth:`_on_rtcp`, done once per stream rather than per report.
+        self._rtcp_streams: dict[str, tuple[str, str]] = {}
         #: Interval between downlink bandwidth probes toward an
         #: application-limited receiver (the emulated ALR probing).
         self.probe_interval_s = 3.0
@@ -293,22 +297,20 @@ class SfuNode:
     # --------------------------------------------------------------- RTCP
     def _on_rtcp(self, packet: Packet) -> None:
         flow = packet.flow_id
-        # Reports/FIRs from receivers concern flows named
-        # ``{call}:down:{sender}>{receiver}:rtcp``.
-        if ":down:" not in flow:
-            if self._control is not None and ":up:" in flow and flow.endswith(":rtcp"):
-                # Uplink-directed RTCP (relayed reports / keyframe requests)
-                # in transit across the cascade toward a remote sender.
-                target = flow.split(":up:", 1)[1].rsplit(":rtcp", 1)[0]
-                if target in self.participants:
-                    packet.dst = target
-                    self.host.send(packet)
-                elif self._control.home_of(target) is not None:
-                    self._forward_toward(target, packet)
-            return
-        stream_part = flow.split(":down:", 1)[1].rsplit(":rtcp", 1)[0]
-        sender_name, _, receiver_name = stream_part.partition(">")
-        if is_fir(packet):
+        stream = self._rtcp_streams.get(flow)
+        if stream is None:
+            # Reports/FIRs from receivers concern flows named
+            # ``{call}:down:{sender}>{receiver}:rtcp``.
+            if ":down:" not in flow:
+                self._on_uplink_rtcp(packet)
+                return
+            stream_part = flow.split(":down:", 1)[1].rsplit(":rtcp", 1)[0]
+            sender_name, _, receiver_name = stream_part.partition(">")
+            stream = self._rtcp_streams[flow] = (sender_name, receiver_name)
+        sender_name, receiver_name = stream
+        meta = packet._meta
+        rtcp_type = meta.get("rtcp") if meta is not None else None
+        if rtcp_type == "fir":
             # Ask the original sender for a keyframe regardless of architecture.
             fir = make_fir_packet(
                 f"{uplink_flow(sender_name, self.call_id)}:rtcp",
@@ -321,8 +323,10 @@ class SfuNode:
             else:
                 self.host.send(fir)
             return
-        report = extract_report(packet)
-        if report is None:
+        if rtcp_type != "report":
+            return
+        report = meta.get("report")
+        if not isinstance(report, FeedbackReport):
             return
         receiver_state = self.participants.get(receiver_name)
         if receiver_state is None:
@@ -361,6 +365,18 @@ class SfuNode:
                 self._forward_toward(sender_name, relayed)
             else:
                 self.host.send(relayed)
+
+    def _on_uplink_rtcp(self, packet: Packet) -> None:
+        flow = packet.flow_id
+        if self._control is not None and ":up:" in flow and flow.endswith(":rtcp"):
+            # Uplink-directed RTCP (relayed reports / keyframe requests)
+            # in transit across the cascade toward a remote sender.
+            target = flow.split(":up:", 1)[1].rsplit(":rtcp", 1)[0]
+            if target in self.participants:
+                packet.dst = target
+                self.host.send(packet)
+            elif self._control.home_of(target) is not None:
+                self._forward_toward(target, packet)
 
     @staticmethod
     def _aggregate_reports(state: ParticipantState):
@@ -459,7 +475,8 @@ class SfuNode:
         FEC draws in arrival x receiver order) are identical to calling
         :meth:`_on_media` per packet; the difference is that the forwarding
         decision comes from :meth:`_video_plan` / :meth:`_audio_plan` and the
-        per-receiver copies leave the host as one train each.  With egress
+        per-receiver copies leave the host as one train each, all of them in
+        one :meth:`~repro.net.node.Host.send_forwarded_trains` call.  With egress
         trunks configured, each train is additionally copied *once per
         demanding trunk* (never once per downstream receiver) from the
         per-hop trunk plans.
@@ -587,9 +604,8 @@ class SfuNode:
         self.bytes_forwarded += bytes_forwarded
         self.trunk_bytes_forwarded += trunk_bytes
         self.fec_bytes_added += fec_bytes
-        host = self.host
-        for out in outbound.values():
-            host.send_forwarded_batch(out[1], out[0])
+        if outbound:
+            self.host.send_forwarded_trains(outbound)
 
     # ------------------------------------------------------------- trunks
     def _trunk_sender_state(self, flow: str) -> Optional[ParticipantState]:

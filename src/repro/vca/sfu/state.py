@@ -122,20 +122,51 @@ def aggregate_reports(reports: Iterable[FeedbackReport]) -> Optional[FeedbackRep
     stream, because one congested path impairs every stream sharing it.
     Used both for a receiver's downlink estimator and for the per-trunk
     relay estimators of a cascade.
+
+    One pass over the reports (this runs on every RTCP report a server
+    receives).  It reproduces ``max()`` / ``sum()`` bit for bit: a maximum is
+    replaced only by a strictly greater value, so the first of tied maxima
+    wins, and sums add left to right starting from ``0``.
     """
-    reports = list(reports)
-    if not reports:
+    it = iter(reports)
+    first = next(it, None)
+    if first is None:
         return None
+    timestamp = first.timestamp
+    interval = first.interval_s
+    rate = 0 + first.receive_rate_bps
+    loss = first.loss_fraction
+    queueing = first.queueing_delay_s
+    gradient = first.delay_gradient_s
+    rtt = first.rtt_s
+    expected = 0 + first.packets_expected
+    received = 0 + first.packets_received
+    for r in it:
+        if r.timestamp > timestamp:
+            timestamp = r.timestamp
+        if r.interval_s > interval:
+            interval = r.interval_s
+        rate += r.receive_rate_bps
+        if r.loss_fraction > loss:
+            loss = r.loss_fraction
+        if r.queueing_delay_s > queueing:
+            queueing = r.queueing_delay_s
+        if r.delay_gradient_s > gradient:
+            gradient = r.delay_gradient_s
+        if r.rtt_s > rtt:
+            rtt = r.rtt_s
+        expected += r.packets_expected
+        received += r.packets_received
     return FeedbackReport(
-        timestamp=max(r.timestamp for r in reports),
-        interval_s=max(r.interval_s for r in reports),
-        receive_rate_bps=sum(r.receive_rate_bps for r in reports),
-        loss_fraction=max(r.loss_fraction for r in reports),
-        queueing_delay_s=max(r.queueing_delay_s for r in reports),
-        delay_gradient_s=max(r.delay_gradient_s for r in reports),
-        rtt_s=max(r.rtt_s for r in reports),
-        packets_expected=sum(r.packets_expected for r in reports),
-        packets_received=sum(r.packets_received for r in reports),
+        timestamp=timestamp,
+        interval_s=interval,
+        receive_rate_bps=rate,
+        loss_fraction=loss,
+        queueing_delay_s=queueing,
+        delay_gradient_s=gradient,
+        rtt_s=rtt,
+        packets_expected=expected,
+        packets_received=received,
     )
 
 
