@@ -4,41 +4,80 @@ The paper repeats every condition several times (five repetitions for the
 static sweeps, four for disruptions, three for competition) and reports the
 median or mean together with a 90 % confidence interval band.  This module
 provides those aggregations.
+
+A :class:`RunSummary` keeps the observed values and computes each statistic
+on first access, at most once, with the same numpy expression an eager
+computation would use: campaign tabulators that read only ``.mean`` never
+pay for the median or the quantile band.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = ["RunSummary", "confidence_interval", "aggregate_runs", "summarize_series"]
 
 
-@dataclass(frozen=True)
 class RunSummary:
-    """Summary statistics of one metric across repeated runs."""
+    """Summary statistics of one metric across repeated runs.
 
-    mean: float
-    median: float
-    ci_low: float
-    ci_high: float
-    n: int
+    Built by :func:`aggregate_runs`.  ``n`` is known up front; ``mean``
+    (``np.mean``), ``median`` (``np.median``) and the ``(ci_low, ci_high)``
+    band (:func:`confidence_interval`, both quantiles together) are each
+    computed on first access and cached, so a second read calls no numpy.
+    With no observations every statistic is ``0.0``.  An out-of-range
+    ``confidence`` raises on first access of the band.
+    """
+
+    __slots__ = ("n", "_data", "_confidence", "_mean", "_median", "_band")
+
+    def __init__(self, data: np.ndarray, confidence: float) -> None:
+        self.n = int(data.size)
+        self._data = data
+        self._confidence = confidence
+        self._mean: Optional[float] = None if self.n else 0.0
+        self._median: Optional[float] = None if self.n else 0.0
+        self._band: Optional[tuple[float, float]] = None
+
+    @property
+    def mean(self) -> float:
+        if self._mean is None:
+            self._mean = float(np.mean(self._data))
+        return self._mean
+
+    @property
+    def median(self) -> float:
+        if self._median is None:
+            self._median = float(np.median(self._data))
+        return self._median
+
+    @property
+    def ci_low(self) -> float:
+        return self._ci()[0]
+
+    @property
+    def ci_high(self) -> float:
+        return self._ci()[1]
 
     @property
     def ci_half_width(self) -> float:
         return (self.ci_high - self.ci_low) / 2.0
 
+    def _ci(self) -> tuple[float, float]:
+        if self._band is None:
+            self._band = _quantile_band(self._data, self._confidence)
+        return self._band
 
-def confidence_interval(values: Sequence[float], confidence: float = 0.90) -> tuple[float, float]:
-    """Percentile-based confidence interval (the paper plots 90 % bands).
+    def __repr__(self) -> str:
+        return (
+            f"RunSummary(mean={self.mean!r}, median={self.median!r}, "
+            f"ci_low={self.ci_low!r}, ci_high={self.ci_high!r}, n={self.n!r})"
+        )
 
-    With the small sample sizes the paper uses (3-5 repetitions) a
-    percentile interval of the observed values is the honest choice; it
-    degenerates gracefully to the single observed value for n=1.
-    """
-    data = np.asarray(list(values), dtype=float)
+
+def _quantile_band(data: np.ndarray, confidence: float) -> tuple[float, float]:
     if data.size == 0:
         return (0.0, 0.0)
     alpha = (1.0 - confidence) / 2.0
@@ -47,19 +86,26 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.90) -> tu
     return (low, high)
 
 
+def confidence_interval(values: Sequence[float], confidence: float = 0.90) -> tuple[float, float]:
+    """Percentile-based confidence interval (the paper plots 90 % bands).
+
+    With the small sample sizes the paper uses (3-5 repetitions) a
+    percentile interval of the observed values is the honest choice.  For
+    n=1 it is the single observed value if that value is finite; an
+    infinite value gives ``nan`` (numpy interpolates ``inf - inf`` and
+    emits a ``RuntimeWarning``), as does any ``nan`` in the input.  No
+    observations give ``(0.0, 0.0)``.
+    """
+    return _quantile_band(np.asarray(list(values), dtype=float), confidence)
+
+
 def aggregate_runs(values: Iterable[float], confidence: float = 0.90) -> RunSummary:
-    """Aggregate one metric measured across repeated runs."""
-    data = np.asarray(list(values), dtype=float)
-    if data.size == 0:
-        return RunSummary(mean=0.0, median=0.0, ci_low=0.0, ci_high=0.0, n=0)
-    low, high = confidence_interval(data, confidence)
-    return RunSummary(
-        mean=float(np.mean(data)),
-        median=float(np.median(data)),
-        ci_low=low,
-        ci_high=high,
-        n=int(data.size),
-    )
+    """Aggregate one metric measured across repeated runs.
+
+    The values are copied into a float64 array now; the statistics are
+    computed lazily (see :class:`RunSummary`).
+    """
+    return RunSummary(np.asarray(list(values), dtype=float), confidence)
 
 
 def summarize_series(

@@ -11,7 +11,9 @@ Covers the four barometer layers end to end:
   differ, the first ``n`` of an ``n+k`` sample are stable, and every drawn
   parameter lies inside its declared tier range.
 * **Campaign** -- a tiny grid runs serially and over ``hosts=2``
-  byte-identically, a warm store re-scores with zero simulations, the
+  byte-identically, a warm store re-scores with zero simulations and
+  without a single ``np.quantile`` / ``np.median`` call, the cold rows
+  match digests recorded in ``tests/data/barometer_rows_golden.json``, the
   tabulated ``quality_index`` column matches the formula applied to the
   row's own metrics, and the ``barometer_sweep`` registry entry advertises
   the full campaign feature set.
@@ -22,12 +24,15 @@ Covers the four barometer layers end to end:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.barometer.campaign import (
@@ -60,6 +65,25 @@ from repro.calibrate.targets import (
 )
 from repro.calibrate.verify import target_scenario_names
 from repro.results.fingerprint import canonical_json
+
+#: Digests of the tabulated rows of the small warm-store grid, per repetition
+#: count.  Re-record (only for an intended change, explained in CHANGES.md)::
+#:
+#:     PYTHONPATH=src python tests/test_barometer.py --record
+ROWS_GOLDEN_PATH = Path(__file__).parent / "data" / "barometer_rows_golden.json"
+ROWS_GOLDEN_REPETITIONS = (1, 3)
+
+
+def _warm_grid_kwargs(repetitions: int, store: Path) -> dict:
+    return dict(
+        n_households=3, vcas=("meet",), use_cases=("two-party",),
+        duration_s=3.0, seed=0, repetitions=repetitions, store=store,
+    )
+
+
+def _rows_digest(rows) -> str:
+    return hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+
 
 #: A payload at the good end of every two-party requirement.
 PERFECT = {
@@ -315,16 +339,31 @@ class TestBarometerSweep:
         assert canonical_json(serial.rows) == canonical_json(distributed.rows)
         assert distributed.campaign_hosts
 
-    def test_warm_store_runs_zero_simulations(self, tmp_path):
-        kwargs = dict(
-            n_households=3, vcas=("meet",), use_cases=("two-party",),
-            duration_s=3.0, seed=0, store=tmp_path / "store",
-        )
+    @pytest.mark.parametrize("repetitions", ROWS_GOLDEN_REPETITIONS)
+    def test_warm_store_runs_zero_simulations(self, tmp_path, monkeypatch, repetitions):
+        kwargs = _warm_grid_kwargs(repetitions, tmp_path / "store")
         cold = run_barometer_sweep(**kwargs)
-        assert cold.campaign_stats["completed"] == 3
+        assert cold.campaign_stats["completed"] == 3 * repetitions
+        golden = json.loads(ROWS_GOLDEN_PATH.read_text())
+        assert _rows_digest(cold.rows) == golden[str(repetitions)]
+
+        calls = {"quantile": 0, "median": 0}
+
+        def counting(name):
+            original = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name))
         warm = run_barometer_sweep(**kwargs)
+        assert calls == {"quantile": 0, "median": 0}
         assert warm.campaign_stats["completed"] == 0
-        assert warm.campaign_stats["cache_hits"] == 3
+        assert warm.campaign_stats["cache_hits"] == 3 * repetitions
         assert canonical_json(cold.rows) == canonical_json(warm.rows)
 
     def test_quality_index_column_matches_formula(self, tmp_path):
@@ -433,3 +472,21 @@ class TestBarometerTargets:
         assert target_scenario_names(barometer_targets) == [
             "barometer/constrained-lte-5p-meet", "barometer/dsl-2p-meet",
         ]
+
+
+def _record_rows_golden() -> None:
+    import tempfile
+
+    digests = {}
+    for repetitions in ROWS_GOLDEN_REPETITIONS:
+        with tempfile.TemporaryDirectory() as tmp:
+            table = run_barometer_sweep(**_warm_grid_kwargs(repetitions, Path(tmp) / "store"))
+        digests[str(repetitions)] = _rows_digest(table.rows)
+    ROWS_GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(digests, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_barometer.py --record")
+    _record_rows_golden()

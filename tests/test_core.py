@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +92,58 @@ class TestMetrics:
         assert 0.0 <= value <= 1.0 + 1e-9
 
 
+SUMMARY_FIELDS = ("mean", "median", "ci_low", "ci_high", "ci_half_width", "n")
+
+#: Repetition values crossing numpy's 8-element pairwise-summation boundary,
+#: with the special values a broken measurement can produce.
+RUN_VALUES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), st.floats()),
+    max_size=20,
+)
+CONFIDENCES = st.one_of(st.just(0.90), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _eager_summary(values, confidence):
+    """Reference model: every statistic computed up front, as numpy would."""
+    data = np.asarray(list(values), dtype=float)
+    if data.size == 0:
+        return dict(mean=0.0, median=0.0, ci_low=0.0, ci_high=0.0, ci_half_width=0.0, n=0)
+    band = np.asarray(list(data), dtype=float)
+    alpha = (1.0 - confidence) / 2.0
+    low = float(np.quantile(band, alpha))
+    high = float(np.quantile(band, 1.0 - alpha))
+    return dict(
+        mean=float(np.mean(data)),
+        median=float(np.median(data)),
+        ci_low=low,
+        ci_high=high,
+        ci_half_width=(high - low) / 2.0,
+        n=int(data.size),
+    )
+
+
+def _same_bits(a, b) -> bool:
+    """Equal as IEEE doubles: any NaN matches NaN, and 0.0 differs from -0.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and (math.isnan(a) or math.isnan(b)):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@contextlib.contextmanager
+def _numpy_calls():
+    """Count direct calls of ``np.mean`` / ``np.median`` / ``np.quantile``."""
+    with contextlib.ExitStack() as stack:
+        mocks = {
+            name: stack.enter_context(mock.patch.object(np, name, wraps=getattr(np, name)))
+            for name in ("mean", "median", "quantile")
+        }
+        calls: dict[str, int] = {}
+        yield calls
+        calls.update({name: m.call_count for name, m in mocks.items()})
+
+
 class TestAnalysis:
     def test_confidence_interval_contains_median(self):
         low, high = confidence_interval([1, 2, 3, 4, 5])
@@ -101,6 +158,36 @@ class TestAnalysis:
 
     def test_aggregate_runs_empty(self):
         assert aggregate_runs([]).n == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=RUN_VALUES, confidence=CONFIDENCES, order=st.permutations(SUMMARY_FIELDS))
+    def test_property_lazy_summary_matches_eager(self, values, confidence, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = _eager_summary(values, confidence)
+            summary = aggregate_runs(values, confidence)
+            with _numpy_calls() as first_calls:
+                first = {field: getattr(summary, field) for field in order}
+            with _numpy_calls() as second_calls:
+                second = {field: getattr(summary, field) for field in order}
+        computed = 1 if values else 0
+        assert first_calls == {"mean": computed, "median": computed, "quantile": 2 * computed}
+        assert second_calls == {"mean": 0, "median": 0, "quantile": 0}
+        for field in SUMMARY_FIELDS:
+            assert _same_bits(first[field], expected[field]), field
+            assert _same_bits(second[field], expected[field]), field
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=RUN_VALUES, confidence=CONFIDENCES)
+    def test_property_mean_alone_skips_median_and_band(self, values, confidence):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = _eager_summary(values, confidence)["mean"]
+            summary = aggregate_runs(values, confidence)
+            with _numpy_calls() as calls:
+                mean = summary.mean
+        assert calls == {"mean": 1 if values else 0, "median": 0, "quantile": 0}
+        assert _same_bits(mean, expected)
 
     def test_summarize_series_averages_on_grid(self):
         a = (np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
