@@ -265,6 +265,13 @@ class SourceRoutedEgress:
         :class:`DelayBus` record; the others take the fallback path in their
         original order (the fallback hop has a positive delay, so it never
         re-enters this egress before the fan-out is done).
+
+        The record holds ``(fn, arg)`` pairs: ``(receiver_batch, packets)``
+        for a multi-packet train and ``(receiver, packet)`` for a one-packet
+        train -- every audio copy and most small video copies.  The route's
+        receivers (:meth:`Host.receive_batch`, :meth:`Router.receive_batch`)
+        give a one-packet train exactly the per-packet path, so this only
+        skips the one-element list and the receiver's length check.
         """
         routes = self._routes_batch
         records: Optional[list] = None
@@ -272,11 +279,17 @@ class SourceRoutedEgress:
             receiver_batch = routes.get(dst)
             if receiver_batch is None:
                 self._send_fallback(train[1])
-            elif records is None:
-                records = [(receiver_batch, train[1])]
+                continue
+            packets = train[1]
+            if len(packets) == 1:
+                record = (self._routes[dst], packets[0])
+            else:
+                record = (receiver_batch, packets)
+            if records is None:
+                records = [record]
                 self.bus.push(_deliver_records, records)
             else:
-                records.append((receiver_batch, train[1]))
+                records.append(record)
 
     def _send_fallback(self, packets) -> None:
         if self._fallback_batch is not None:
@@ -288,9 +301,9 @@ class SourceRoutedEgress:
 
 
 def _deliver_records(records: list) -> None:
-    """Deliver a fan-out transit record: ``(receiver_batch, train)`` pairs in order."""
-    for receiver_batch, packets in records:
-        receiver_batch(packets)
+    """Deliver a fan-out transit record: ``(fn, train or packet)`` pairs in order."""
+    for fn, arg in records:
+        fn(arg)
 
 
 class ForwardingEntry:
@@ -442,7 +455,11 @@ class Router:
 
         Trains produced by the media pipeline are single-destination by
         construction; a mixed train is split into per-destination runs so
-        behaviour matches per-packet forwarding exactly.
+        behaviour matches per-packet forwarding exactly.  In particular a
+        one-packet train behaves exactly like :meth:`receive` of that packet
+        (the one-packet contract of :meth:`Host.register_flow
+        <repro.net.node.Host.register_flow>`), which lets
+        :meth:`SourceRoutedEgress.send_fanout` hand it the bare packet.
         """
         if not packets:
             return

@@ -139,7 +139,17 @@ class StreamReceiver:
 
     # --------------------------------------------------------------- ingest
     def on_packet(self, packet: Packet) -> None:
-        """Process one arriving packet of this stream."""
+        """Process one arriving packet of this stream.
+
+        A frame seen for the first time with ``frag_count <= 1`` completes
+        on arrival without a :class:`_PendingFrame`: creating, completing
+        and deleting the entry in one call would leave ``_pending`` as it
+        was, and ``_oldest_pending_arrival`` too (an empty ``_pending``
+        keeps the ``inf`` bound; a non-empty one has a bound ``<= now``,
+        which the entry could not lower).  The stale-frame check still runs.
+        A first fragment of a larger frame creates the entry with one
+        fragment received, which cannot complete it.
+        """
         now = self.sim._now
         size = packet.size_bytes
         self.total_bytes += size
@@ -179,23 +189,29 @@ class StreamReceiver:
         frame_id = meta.get("frame_id") if meta is not None else None
         if frame_id is not None:
             frame = pending.get(frame_id)
-            if frame is None:
-                frame = _PendingFrame(
-                    frame_id=frame_id,
-                    fragments_expected=int(meta.get("frag_count", 1)),
-                    keyframe=bool(meta.get("keyframe", False)),
-                    first_arrival=now,
-                )
-                pending[frame_id] = frame
-                if now < self._oldest_pending_arrival:
-                    self._oldest_pending_arrival = now
-            frame.fragments_received += 1
-            if frame.fragments_received >= frame.fragments_expected and not frame.completed:
-                frame.completed = True
-                self._on_frame_complete(packet, now)
-                del pending[frame_id]
-                if not pending:
-                    self._oldest_pending_arrival = float("inf")
+            if frame is not None:
+                frame.fragments_received += 1
+                if frame.fragments_received >= frame.fragments_expected and not frame.completed:
+                    frame.completed = True
+                    self._on_frame_complete(packet, now)
+                    del pending[frame_id]
+                    if not pending:
+                        self._oldest_pending_arrival = float("inf")
+            else:
+                fragments_expected = int(meta.get("frag_count", 1))
+                if fragments_expected <= 1:
+                    # Complete on arrival, no pending entry (see the docstring).
+                    self._on_frame_complete(packet, now)
+                else:
+                    pending[frame_id] = _PendingFrame(
+                        frame_id=frame_id,
+                        fragments_expected=fragments_expected,
+                        fragments_received=1,
+                        keyframe=bool(meta.get("keyframe", False)),
+                        first_arrival=now,
+                    )
+                    if now < self._oldest_pending_arrival:
+                        self._oldest_pending_arrival = now
         if pending and now - self._oldest_pending_arrival > self.config.frame_timeout_s:
             self._expire_stale_frames(now)
 
@@ -250,23 +266,31 @@ class StreamReceiver:
             frame_id = meta.get("frame_id") if meta is not None else None
             if frame_id is not None:
                 frame = pending.get(frame_id)
-                if frame is None:
-                    frame = _PendingFrame(
-                        frame_id=frame_id,
-                        fragments_expected=int(meta.get("frag_count", 1)),
-                        keyframe=bool(meta.get("keyframe", False)),
-                        first_arrival=now,
-                    )
-                    pending[frame_id] = frame
-                    if now < self._oldest_pending_arrival:
-                        self._oldest_pending_arrival = now
-                frame.fragments_received += 1
-                if frame.fragments_received >= frame.fragments_expected and not frame.completed:
-                    frame.completed = True
-                    self._on_frame_complete(packet, now)
-                    del pending[frame_id]
-                    if not pending:
-                        self._oldest_pending_arrival = float("inf")
+                if frame is not None:
+                    frame.fragments_received += 1
+                    if (
+                        frame.fragments_received >= frame.fragments_expected
+                        and not frame.completed
+                    ):
+                        frame.completed = True
+                        self._on_frame_complete(packet, now)
+                        del pending[frame_id]
+                        if not pending:
+                            self._oldest_pending_arrival = float("inf")
+                else:
+                    fragments_expected = int(meta.get("frag_count", 1))
+                    if fragments_expected <= 1:
+                        self._on_frame_complete(packet, now)
+                    else:
+                        pending[frame_id] = _PendingFrame(
+                            frame_id=frame_id,
+                            fragments_expected=fragments_expected,
+                            fragments_received=1,
+                            keyframe=bool(meta.get("keyframe", False)),
+                            first_arrival=now,
+                        )
+                        if now < self._oldest_pending_arrival:
+                            self._oldest_pending_arrival = now
             if pending and now - self._oldest_pending_arrival > timeout:
                 self._expire_stale_frames(now)
         self.total_bytes += total_bytes

@@ -153,7 +153,11 @@ class VCAClient:
 
         #: One receiver per remote participant whose stream we are sent.
         self.receivers: dict[str, StreamReceiver] = {}
-        self._receiver_tasks: dict[str, PeriodicTask] = {}
+        #: ``(receiver, RTCP flow id)`` per stream, in :attr:`receivers`
+        #: order, reported by one timer (see :meth:`expect_stream_from`).
+        self._feedback_streams: list[tuple[StreamReceiver, str]] = []
+        self._feedback_task: Optional[PeriodicTask] = None
+        self._feedback_armed_at = 0.0
         self._stall_task: Optional[PeriodicTask] = None
         self._paused_until = 0.0
         self.in_call = False
@@ -197,17 +201,30 @@ class VCAClient:
         self.sender.stop()
         if self.stats is not None:
             self.stats.stop()
-        for task in self._receiver_tasks.values():
-            task.stop()
-        self._receiver_tasks.clear()
+        if self._feedback_task is not None:
+            self._feedback_task.stop()
+            self._feedback_task = None
         if self._stall_task is not None:
             self._stall_task.stop()
 
     # ------------------------------------------------------------ receiving
     def expect_stream_from(self, remote: str) -> StreamReceiver:
-        """Prepare to receive (and acknowledge) a remote participant's stream."""
+        """Prepare to receive (and acknowledge) a remote participant's stream.
+
+        The first stream arms the client's single feedback timer; every
+        firing reports each stream in :attr:`receivers` order.  That matches
+        one timer per stream because :meth:`Call.start
+        <repro.vca.call.Call.start>`, the only caller, registers every
+        stream at the same instant, so per-stream timers would all fire
+        together.  A stream added later would share the first stream's
+        phase; the assertion keeps it to that instant.
+        """
         if remote in self.receivers:
             return self.receivers[remote]
+        if self._feedback_task is not None:
+            assert self.sim.now == self._feedback_armed_at, (
+                "every stream must be expected at the instant the feedback timer was armed"
+            )
         flow = downlink_flow(remote, self.name, self.call_id)
         receiver_cls = LegacyStreamReceiver if self.polled else StreamReceiver
         receiver = receiver_cls(
@@ -218,21 +235,22 @@ class VCAClient:
         )
         self.receivers[remote] = receiver
         self.host.register_flow(flow, receiver.on_packet, batch_handler=receiver.on_packet_batch)
-        task = self.sim.every(
-            self.profile.feedback_interval_s,
-            lambda r=remote: self._send_feedback(r),
-        )
-        self._receiver_tasks[remote] = task
+        self._feedback_streams.append((receiver, f"{flow}:rtcp"))
+        if self._feedback_task is None:
+            self._feedback_task = self.sim.every(
+                self.profile.feedback_interval_s, self._send_feedback
+            )
+            self._feedback_armed_at = self.sim.now
         return receiver
 
-    def _send_feedback(self, remote: str) -> None:
+    def _send_feedback(self) -> None:
+        """Send one RTCP report per received stream, in :attr:`receivers` order."""
         if not self.in_call:
             return
-        receiver = self.receivers[remote]
-        report = receiver.make_report(self.sim.now)
-        flow = downlink_flow(remote, self.name, self.call_id)
-        packet = make_report_packet(f"{flow}:rtcp", self.name, self.server_name, report, self.sim.now)
-        self.host.send(packet)
+        now = self.sim.now
+        for receiver, rtcp_flow in self._feedback_streams:
+            report = receiver.make_report(now)
+            self.host.send(make_report_packet(rtcp_flow, self.name, self.server_name, report, now))
 
     def _send_fir(self, remote: str) -> None:
         flow = downlink_flow(remote, self.name, self.call_id)

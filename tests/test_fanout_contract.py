@@ -5,7 +5,11 @@
   :meth:`SourceRoutedEgress.send_batch` per train would: same ``sim._seq``,
   same heap entries, same deliveries in the same order -- with bus-routed and
   fallback destinations mixed in one fan-out, and whether or not the bus
-  already has a pending event.
+  already has a pending event.  One-packet trains travel in the fan-out
+  record as a bare packet for the route's per-packet receiver; mixed with
+  multi-packet trains and delivered to real hosts, a home router and a lossy
+  queueing link, they leave host, router, link and RNG state as
+  ``send_batch`` does.
 * :meth:`Host.send_forwarded_trains` matches per-train
   :meth:`Host.send_forwarded_batch` (counters, taps, deliveries), with and
   without a fan-out egress.
@@ -21,9 +25,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.cc.base import FeedbackReport
+from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
-from repro.net.router import DelayPipe, SourceRoutedEgress
+from repro.net.router import DelayPipe, Router, SourceRoutedEgress
 from repro.net.simulator import Simulator
 from repro.rtp.jitter import StreamReceiver
 from repro.rtp.rtcp import make_fir_packet, make_report_packet
@@ -64,9 +69,11 @@ class _Net:
         )
 
     def heap(self):
-        return sorted(
-            (when, seq, getattr(cb, "__qualname__", repr(cb))) for when, seq, cb in self.sim._queue
-        )
+        return _heap(self.sim)
+
+
+def _heap(sim):
+    return sorted((when, seq, getattr(cb, "__qualname__", repr(cb))) for when, seq, cb in sim._queue)
 
 
 def _trains(layout, base_seq):
@@ -134,9 +141,123 @@ def test_fanout_shares_one_bus_record():
     net.egress.send_fanout(trains)
     transit = net.egress.bus._transit
     assert len(transit) == 1
-    assert [packets[0].dst for _, packets in transit[0][2]] == ["R1", "R2", "R3"]
+    records = transit[0][2]
+    # A multi-packet train is (receiver_batch, train); a one-packet train is
+    # (per-packet receiver, packet).
+    routes, routes_batch = net.egress._routes, net.egress._routes_batch
+    assert [fn for fn, _ in records] == [routes_batch["R1"], routes["R2"], routes_batch["R3"]]
+    assert records[0][1] is trains["R1"][1] and records[2][1] is trains["R3"][1]
+    assert records[1][1] is trains["R2"][1][0]
     net.sim.run(until=10.0)
     assert [hop for _, hop, _ in net.log] == ["fallback", "R1", "R2", "R3"]
+
+
+class _HostNet:
+    """A media server's egress wired to real receivers, as in the access topology.
+
+    ``R*`` are bus routes straight to :class:`Host` objects; ``C1`` is a bus
+    route to a home :class:`Router` that puts it on a lossy, queueing
+    downlink :class:`Link`; ``X*`` take the fallback pipe to a core router.
+    """
+
+    def __init__(self):
+        self.sim = sim = Simulator(seed=5)
+        self.log: list[tuple] = []
+        self.hosts = {name: Host(sim, name) for name in ("R1", "R2", "R3", "C1", "X1", "X2")}
+        for name, host in self.hosts.items():
+            flow = f"f:{name}"
+            host.register_flow(
+                flow,
+                lambda p, name=name: self._record(name, [p]),
+                lambda ps, name=name: self._record(name, ps),
+            )
+        core = Router(sim, "core")
+        for name in ("X1", "X2"):
+            host = self.hosts[name]
+            core.add_delay_route(name, host.receive, 0.002, receiver_batch=host.receive_batch)
+        self.home = Router(sim, "home")
+        self.downlink = Link(sim, "down", 2_000_000, 0.004, queue_bytes=2400, loss_rate=0.2)
+        self.downlink.connect(self.hosts["C1"].receive)
+        self.home.add_link_route("C1", self.downlink)
+        pipe = DelayPipe(sim, core.receive, FALLBACK_DELAY_S, receiver_batch=core.receive_batch)
+        self.egress = SourceRoutedEgress(
+            sim, BUS_DELAY_S, pipe.send, fallback_batch=pipe.send_batch
+        )
+        for name in ("R1", "R2", "R3"):
+            host = self.hosts[name]
+            self.egress.add_route(name, host.receive, host.receive_batch)
+        self.egress.add_route("C1", self.home.receive, self.home.receive_batch)
+        self.core = core
+
+    def _record(self, hop, packets):
+        for p in packets:
+            self.log.append((self.sim._now, hop, p.seq, p.size_bytes))
+
+    def state(self):
+        stats = self.downlink.stats
+        return (
+            self.sim._seq,
+            self.sim.events_processed,
+            _heap(self.sim),
+            {n: (h.bytes_received, h.packets_received) for n, h in self.hosts.items()},
+            (self.home.packets_forwarded, self.core.packets_forwarded),
+            (stats.packets_sent, stats.bytes_sent, stats.packets_dropped,
+             stats.packets_lost_random, self.downlink.queued_bytes),
+            self.sim.rng.bit_generator.state,
+        )
+
+
+def _host_trains(layout, base_seq):
+    trains = {}
+    for index, (dst, count) in enumerate(layout):
+        packets = [
+            Packet(size_bytes=300 + 50 * k, flow_id=f"f:{dst}", src="S", dst=dst,
+                   seq=base_seq + 100 * index + k)
+            for k in range(count)
+        ]
+        trains[dst] = [sum(p.size_bytes for p in packets), packets]
+    return trains
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fanouts=st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["R1", "R2", "R3", "C1", "X1", "X2"]),
+                    st.sampled_from([1, 1, 2, 4]),
+                ),
+                min_size=1,
+                max_size=6,
+                unique_by=lambda item: item[0],
+            ),
+            st.sampled_from([0.0, 0.0005, 0.004, 0.02]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_mixed_one_packet_fanout_matches_send_batch_on_real_receivers(fanouts):
+    """One-packet and multi-packet trains through hosts, a router and a link."""
+    one, many = _HostNet(), _HostNet()
+    for index, (layout, gap) in enumerate(fanouts):
+        for net in (one, many):
+            trains = _host_trains(layout, 1000 * index)
+            if net is one:
+                net.egress.send_fanout(trains)
+            else:
+                for _, packets in trains.values():
+                    net.egress.send_batch(packets)
+        assert one.state() == many.state()
+        for net in (one, many):
+            net.sim.run(until=net.sim._now + gap)
+        assert one.log == many.log
+        assert one.state() == many.state()
+    for net in (one, many):
+        net.sim.run(until=10.0)
+    assert one.log == many.log
+    assert one.state() == many.state()
 
 
 def _host_pair(with_fanout, with_tap):

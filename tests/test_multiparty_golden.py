@@ -11,14 +11,21 @@ everything the forwarding path can perturb:
 * every client's per-sender :class:`~repro.rtp.jitter.StreamReceiver`
   totals (bytes, frames, lost frames, FIRs),
 * the server's forwarded, FEC and probe byte counters,
-* the number of simulator events and the scenario metrics.
+* the scenario metrics.
+
+The number of simulator events is recorded next to each digest and asserted
+exactly, but kept out of the digest: it counts the simulator's work (timer
+firings, bus deliveries) as well as the model's, so a change that
+restructures that work without changing any state moves the count and
+nothing else, and re-records only the count.
 
 The calls cover a 16-party Meet gallery (simulcast copy selection), a
 9-party Zoom call (server FEC draws interleaved with the fan-out), a
 5-party Teams call (plain relay, RTCP relayed to senders) and a 5-party Zoom
 call on a shaped downlink (thinning and loss on C1's leg).
 
-Re-record (only for an intended behaviour change, explained in CHANGES.md)::
+Re-record (only for an intended change of state or event count, explained in
+CHANGES.md)::
 
     PYTHONPATH=src python tests/test_multiparty_golden.py --record
 """
@@ -32,8 +39,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.net import router as router_mod
+from repro.net.node import Host
+from repro.net.packet import Packet
+from repro.net.router import Router
+from repro.net.simulator import Simulator
 from repro.netem.scenarios import ScenarioSpec, run_scenario
 from repro.results.fingerprint import canonical_json
+from repro.rtp import jitter
+from repro.rtp.jitter import StreamReceiver
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "multiparty_golden_head.json"
 SEED = 0
@@ -70,7 +84,11 @@ CALLS = {
 
 
 def call_digest(run) -> str:
-    """SHA-256 over the forwarding-sensitive state of a finished call."""
+    """SHA-256 over the forwarding-sensitive state of a finished call.
+
+    ``events_processed`` is deliberately not part of it (see the module
+    docstring); :func:`_run` returns it separately.
+    """
     links = {}
     for label, link in (("up", run.topology.uplink), ("down", run.topology.downlink)):
         s = link.stats
@@ -102,31 +120,124 @@ def call_digest(run) -> str:
         "flows": flows,
         "receivers": receivers,
         "server": [server.bytes_forwarded, server.fec_bytes_added, server.probe_bytes_sent],
-        "events": run.sim.events_processed,
         "metrics": run.metrics(),
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-def _run(name: str):
-    return run_scenario(CALLS[name], seed=SEED, duration_s=DURATION_S)
+def _run(name: str) -> tuple[str, int]:
+    """``(state digest, events_processed)`` of one golden call."""
+    run = run_scenario(CALLS[name], seed=SEED, duration_s=DURATION_S)
+    return call_digest(run), run.sim.events_processed
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_multiparty_call_byte_identical_to_head(name):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden["seed"] == SEED and golden["duration_s"] == DURATION_S
-    assert call_digest(_run(name)) == golden["digests"][name], f"{name} diverged from HEAD"
+    digest, events = _run(name)
+    assert digest == golden["digests"][name], f"{name} diverged from HEAD"
+    assert events == golden["events"][name], f"{name} event count moved"
 
 
 def test_golden_covers_every_call():
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert sorted(golden["digests"]) == sorted(CALLS)
+    assert sorted(golden["digests"]) == sorted(golden["events"]) == sorted(CALLS)
+
+
+def test_gallery_16p_per_copy_work_counters(monkeypatch):
+    """Deterministic counters of the per-copy and per-report fast paths.
+
+    In the 16-party golden call (whose state digest is asserted too, so the
+    counters watch the pinned call):
+
+    * no :class:`~repro.rtp.jitter._PendingFrame` is built for a frame with
+      ``frag_count <= 1``;
+    * the server's fan-out destinations (the clients and C1's home router)
+      get no one-packet ``receive_batch`` call: one-packet copies travel as
+      bare packets;
+    * each client has exactly one feedback timer, not one per remote.
+    """
+    server = "S"
+    counts = {
+        "pending_single": 0,
+        "pending_multi": 0,
+        "single_completed": 0,
+        "dest_batch_one": 0,
+        "dest_batch_many": 0,
+        "bare_records": 0,
+    }
+    timer_callbacks: list = []
+
+    real_pending = jitter._PendingFrame
+
+    def pending_frame(*args, **kwargs):
+        frame = real_pending(*args, **kwargs)
+        counts["pending_single" if frame.fragments_expected <= 1 else "pending_multi"] += 1
+        return frame
+
+    real_complete = StreamReceiver._on_frame_complete
+
+    def on_frame_complete(self, packet, now):
+        if int(packet.meta.get("frag_count", 1)) <= 1:
+            counts["single_completed"] += 1
+        real_complete(self, packet, now)
+
+    def counting_receive_batch(real):
+        def receive_batch(self, packets):
+            if isinstance(self, Router) or self.name != server:
+                counts["dest_batch_one" if len(packets) == 1 else "dest_batch_many"] += 1
+            real(self, packets)
+
+        return receive_batch
+
+    real_deliver = router_mod._deliver_records
+
+    def deliver_records(records):
+        counts["bare_records"] += sum(arg.__class__ is Packet for _, arg in records)
+        real_deliver(records)
+
+    real_every = Simulator.every
+
+    def every(self, interval, callback, *args, **kwargs):
+        timer_callbacks.append(callback)
+        return real_every(self, interval, callback, *args, **kwargs)
+
+    monkeypatch.setattr(jitter, "_PendingFrame", pending_frame)
+    monkeypatch.setattr(StreamReceiver, "_on_frame_complete", on_frame_complete)
+    monkeypatch.setattr(Host, "receive_batch", counting_receive_batch(Host.receive_batch))
+    monkeypatch.setattr(Router, "receive_batch", counting_receive_batch(Router.receive_batch))
+    monkeypatch.setattr(router_mod, "_deliver_records", deliver_records)
+    monkeypatch.setattr(Simulator, "every", every)
+
+    name = "gallery-16p-meet"
+    run = run_scenario(CALLS[name], seed=SEED, duration_s=DURATION_S)
+    assert run.topology.server_name == server
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert call_digest(run) == golden["digests"][name]
+
+    assert counts["pending_single"] == 0
+    assert counts["pending_multi"] > 0 and counts["single_completed"] > 0
+    assert counts["dest_batch_one"] == 0
+    assert counts["dest_batch_many"] > 0 and counts["bare_records"] > 0
+    feedback = [
+        cb for cb in timer_callbacks
+        if cb.__qualname__ == "VCAClient._send_feedback"
+        or cb.__qualname__.startswith("VCAClient.expect_stream_from")
+    ]
+    n = CALLS[name].participants
+    assert len(feedback) == n
+    assert {cb.__self__.name for cb in feedback} == set(run.call.clients)
 
 
 def _record() -> None:
-    digests = {name: call_digest(_run(name)) for name in sorted(CALLS)}
-    payload = {"digests": digests, "duration_s": DURATION_S, "seed": SEED}
+    results = {name: _run(name) for name in sorted(CALLS)}
+    payload = {
+        "digests": {name: digest for name, (digest, _) in results.items()},
+        "events": {name: events for name, (_, events) in results.items()},
+        "duration_s": DURATION_S,
+        "seed": SEED,
+    }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True))
 
